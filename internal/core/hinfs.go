@@ -286,9 +286,10 @@ type File struct {
 }
 
 // checkOpen rejects operations on a closed handle before any lock is
-// taken. An operation that passes the check while Close runs still
-// completes safely: storage reclamation happens under the inode lock the
-// operation holds.
+// taken. Storage reclamation happens under the inode lock, after the
+// handle is marked closed, so ReadAt and WriteAt check again once they
+// hold the lock: an operation that passed the first check while Close ran
+// fails with ErrClosed instead of using the freed inode.
 func (f *File) checkOpen() error {
 	if f.closed.Load() {
 		return vfs.ErrClosed
@@ -322,6 +323,9 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	merged := false
 	f.pf.RLock()
 	defer f.pf.RUnlock()
+	if err := f.checkOpen(); err != nil {
+		return 0, err
+	}
 	size := f.pf.SizeLocked()
 	if off >= size {
 		// io.ReaderAt contract: reads at or past EOF report io.EOF.
@@ -396,10 +400,13 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	}
 	f.pf.Lock()
 	defer f.pf.Unlock()
+	if err := f.checkOpen(); err != nil {
+		return 0, err
+	}
 	if f.flags&vfs.OAppend != 0 {
 		off = f.pf.SizeLocked()
 	}
-	plan, err := f.pf.PrepareWriteLocked(off, len(p), false)
+	plan, err := f.pf.PrepareWriteLocked(off, len(p))
 	if err != nil {
 		return 0, err
 	}

@@ -1,9 +1,11 @@
 package crashtest
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"hinfs/internal/buffer"
@@ -210,12 +212,45 @@ type runResult struct {
 	state   *nvmm.CrashState
 }
 
+// poisonByte fills every fresh crash-run device before Mkfs.
+const poisonByte = 0xA7
+
+// poisonImages caches one saved all-poison device image per size.
+var poisonImages sync.Map // int64 -> []byte
+
+// newPoisonedDevice returns a persistence-tracking device whose every byte
+// is durably poisonByte. Mkfs formats the metadata regions, so the poison
+// survives in the free data blocks: a file that exposes bytes of a block
+// that were allocated but never written reads poison, not zeros, and fails
+// the content checks. The device is loaded from a cached image, which
+// costs two copies instead of tracking every poisoned line through a
+// flush.
+func newPoisonedDevice(size int64) (*nvmm.Device, error) {
+	img, ok := poisonImages.Load(size)
+	if !ok {
+		src, err := nvmm.New(nvmm.Config{Size: size})
+		if err != nil {
+			return nil, err
+		}
+		fill := bytes.Repeat([]byte{poisonByte}, pmfs.BlockSize)
+		for off := int64(0); off < size; off += pmfs.BlockSize {
+			src.Write(fill, off)
+		}
+		var buf bytes.Buffer
+		if err := src.Save(&buf); err != nil {
+			return nil, err
+		}
+		img, _ = poisonImages.LoadOrStore(size, buf.Bytes())
+	}
+	return nvmm.Load(bytes.NewReader(img.([]byte)), nvmm.Config{TrackPersistence: true})
+}
+
 // runOnce executes the workload start to finish on a fresh device. With
 // target > 0 a CrashPlan snapshots the durability state at exactly that
 // persist event; the run still completes (the crash is virtual) and the
 // pool is abandoned rather than flushed, like a machine losing power.
 func (cfg *Config) runOnce(target int64, keep bool) (*runResult, error) {
-	dev, err := nvmm.New(nvmm.Config{Size: cfg.DeviceSize, TrackPersistence: true})
+	dev, err := newPoisonedDevice(cfg.DeviceSize)
 	if err != nil {
 		return nil, err
 	}

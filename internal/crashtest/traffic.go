@@ -209,7 +209,7 @@ func (tc *trafficClient) run(ready *sync.WaitGroup, stop <-chan struct{}, done *
 // runTraffic executes one crash run: a fresh image, a live server, the
 // client fleet, a crash plan armed at a sampled event past warm-up.
 func (cfg *TrafficConfig) runTraffic(rng *workload.Rand) (*trafficRun, error) {
-	dev, err := nvmm.New(nvmm.Config{Size: cfg.DeviceSize, TrackPersistence: true})
+	dev, err := newPoisonedDevice(cfg.DeviceSize)
 	if err != nil {
 		return nil, err
 	}
