@@ -191,7 +191,12 @@ func (fb *FileBuf) ReadMerge(idx int64, blkOff int, dst []byte, addr int64) bool
 
 // DropBlock discards block idx without writeback (truncate: the NVMM
 // block is about to be freed, so its buffered data must never be flushed).
-// Gated transactions are released.
+// Gated transactions are released, and they commit before the truncate's
+// own transaction frees the block. Their data never reaches NVMM, and
+// under the dirty lines of a block the write allocated NVMM still holds a
+// previous owner's bytes (the write zeroed only the bytes it left
+// uncovered). So those lines are durably zeroed first: a crash between
+// the two commits recovers a file whose dropped bytes read zero.
 func (fb *FileBuf) DropBlock(idx int64) {
 	p := fb.pool
 	sh := p.shardFor(fb, idx)
@@ -210,8 +215,11 @@ func (fb *FileBuf) DropBlock(idx int64) {
 		sh.detachLocked(b)
 		sh.mu.Unlock()
 		b.fmu.Lock()
-		if b.dirtyMap().Any() {
+		if dirty := b.dirtyMap(); dirty.Any() {
 			p.drops.Add(1)
+			if len(b.txs) > 0 {
+				p.zeroLinesLocked(b, dirty)
+			}
 		}
 		b.dirty.Store(0)
 		notifyTxsLocked(b)
@@ -219,6 +227,21 @@ func (fb *FileBuf) DropBlock(idx int64) {
 		p.releaseBlock(b)
 		return
 	}
+}
+
+// zeroBuf is the source of the zeroes zeroLinesLocked stores.
+var zeroBuf [BlockSize]byte
+
+// zeroLinesLocked stores zeroes over the lines of b set in lines on NVMM,
+// flushes them and fences. Caller holds b.fmu.
+func (p *Pool) zeroLinesLocked(b *block, lines cacheline.Bitmap) {
+	for _, r := range lines.Runs(nil, 0, cacheline.PerBlock-1) {
+		if r.Set {
+			p.dev.Write(zeroBuf[:r.Len], b.addr+int64(r.Off))
+			p.dev.Flush(b.addr+int64(r.Off), r.Len)
+		}
+	}
+	p.dev.Fence()
 }
 
 // Buffered reports whether file block idx is in the DRAM buffer.
@@ -377,7 +400,10 @@ func (fb *FileBuf) dropIfEmpty(idx int64) {
 // Drop discards every buffered block of the file without writing it back:
 // the file was deleted, so its dirty data never needs to reach NVMM (§1's
 // "writes to files that are later deleted do not need to be performed").
-// Ordered-mode transactions gated on dropped blocks are released.
+// Ordered-mode transactions gated on dropped blocks are released. Unlike
+// DropBlock it need not zero the dropped lines on NVMM: the file's name is
+// already durably removed, so what those transactions commit is reachable
+// from no path, and recovery frees the orphaned inode.
 func (fb *FileBuf) Drop() {
 	p := fb.pool
 	for _, sh := range p.shards {
