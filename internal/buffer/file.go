@@ -194,9 +194,9 @@ func (fb *FileBuf) ReadMerge(idx int64, blkOff int, dst []byte, addr int64) bool
 // Gated transactions are released, and they commit before the truncate's
 // own transaction frees the block. Their data never reaches NVMM, and
 // under the dirty lines of a block the write allocated NVMM still holds a
-// previous owner's bytes (the write zeroed only the bytes it left
-// uncovered). So those lines are durably zeroed first: a crash between
-// the two commits recovers a file whose dropped bytes read zero.
+// previous owner's bytes (the write zeroed only bytes it did not store).
+// So those lines are durably zeroed first: a crash between the two
+// commits recovers a file whose dropped bytes read zero.
 func (fb *FileBuf) DropBlock(idx int64) {
 	p := fb.pool
 	sh := p.shardFor(fb, idx)

@@ -60,6 +60,75 @@ func TestFreshBlocksReadZeroAfterReuse(t *testing.T) {
 	}
 }
 
+// TestHoleFillAndMmapReadZeroAfterReuse is the HiNFS counterpart of the
+// pmfs test of the same name, on the lazy and O_SYNC write paths: a write
+// into a hole below EOF and Mmap of the existing EOF block must read zero
+// wherever the size covers bytes no write stored, live and after Sync and
+// a crash.
+func TestHoleFillAndMmapReadZeroAfterReuse(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		flags int
+	}{
+		{"lazy", 0},
+		{"osync", vfs.OSync},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev, err := nvmm.New(nvmm.Config{Size: 8 << 20, TrackPersistence: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := Mkfs(dev, zeroTestOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			poisonFreeBlocks(t, fs)
+			d := bytes.Repeat([]byte{0x5A}, 100)
+			want := map[string][]byte{"/hole": make([]byte, 3*BlockSize), "/mmap": make([]byte, BlockSize)}
+			copy(want["/hole"][BlockSize+1000:], d)
+			copy(want["/mmap"], d)
+			open := func(path string) *File {
+				v, err := fs.Open(path, vfs.OCreate|vfs.ORdwr|tc.flags)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { v.Close() })
+				return v.(*File)
+			}
+			f := open("/hole")
+			if err := f.Truncate(3 * BlockSize); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(d, BlockSize+1000); err != nil {
+				t.Fatal(err)
+			}
+			g := open("/mmap")
+			if _, err := g.WriteAt(d, 0); err != nil {
+				t.Fatal(err)
+			}
+			m, err := g.Mmap(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(m, want["/mmap"]) {
+				t.Fatal("Mmap of the EOF block: bytes past the old EOF are not zero")
+			}
+			checkFiles(t, fs, want)
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			fs.Abandon()
+			dev.Crash()
+			fs2, _, err := MountRecover(dev, zeroTestOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs2.Unmount()
+			checkFiles(t, fs2, want)
+		})
+	}
+}
+
 // TestTruncateDroppedLazyBlocksCrash crashes at every persist event of a
 // Truncate(0) that drops fresh blocks holding lazy writes not yet written
 // back. Dropping a block releases its write's transaction, which commits
@@ -269,10 +338,10 @@ func checkFiles(t *testing.T, fs vfs.FileSystem, want map[string][]byte) {
 }
 
 // TestOSyncAppendFlushCounts pins the cachelines an O_SYNC append flushes
-// on a fresh block: the data lines it covers, a flushed zero tail for the
-// lines it does not, and the transaction's metadata — never a whole-block
-// zero fill ahead of the data. A block-aligned 4 KiB append and a 1 KiB
-// append flush the same 64 data-block lines.
+// on a fresh block: the data lines it covers and the transaction's
+// metadata — never a zero fill ahead of the data, and no zeroes for the
+// block's tail, which lies past EOF. A block-aligned 4 KiB append flushes
+// 64 data-block lines, a 1 KiB append 16.
 func TestOSyncAppendFlushCounts(t *testing.T) {
 	// Metadata lines of an append that allocates one data block under an
 	// existing leaf. The transaction touches three words: the bitmap word,
@@ -286,7 +355,7 @@ func TestOSyncAppendFlushCounts(t *testing.T) {
 		dataLines int64
 	}{
 		{"4KiB-aligned", BlockSize, 64},
-		{"1KiB", 1024, 16 + 48},
+		{"1KiB", 1024, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs, dev := testFS(t, Options{})
@@ -310,4 +379,180 @@ func TestOSyncAppendFlushCounts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGrowOverRolledBackAppendReadsZero crashes an append at every persist
+// event between its data store and its commit, recovers, and then grows
+// the file with Truncate or with a write past EOF. A crash before the
+// commit rolls the size back but leaves the append's bytes on NVMM past
+// the recovered EOF; growing over them must read zero, never the
+// rolled-back data. Covered: the PMFS direct path, HiNFS O_SYNC (eager)
+// and HiNFS lazy writes made durable by fsync. Before growing, a short
+// write just below EOF pulls the EOF cacheline into the DRAM buffer on
+// the lazy path (a CLFW partial-line fetch), so the buffered copy of the
+// rolled-back bytes must be zeroed too.
+func TestGrowOverRolledBackAppendReadsZero(t *testing.T) {
+	const (
+		size   = 2 << 20
+		oldEOF = 100
+		newEOF = 200
+	)
+	base := bytes.Repeat([]byte{0x5A}, oldEOF)
+	appended := bytes.Repeat([]byte{0xEE}, newEOF-oldEOF)
+	poison := bytes.Repeat([]byte{0xFF}, size)
+	for _, mode := range []struct {
+		name  string
+		pmfs  bool
+		flags int
+		lazy  bool
+	}{
+		{name: "pmfs", pmfs: true},
+		{name: "eager", flags: vfs.OSync},
+		{name: "lazy", lazy: true},
+	} {
+		opts := Options{
+			BufferBlocks:        64,
+			Clock:               clock.NewFake(time.Unix(0, 0)),
+			Buffer:              buffer.Config{Shards: 1, WritebackThreads: -1},
+			DisableEagerChecker: mode.lazy,
+			PMFS:                pmfs.Options{JournalBlocks: 64, MaxInodes: 64},
+		}
+		mkfs := func(dev *nvmm.Device) (vfs.FileSystem, error) {
+			if mode.pmfs {
+				return pmfs.Mkfs(dev, opts.PMFS)
+			}
+			return Mkfs(dev, opts)
+		}
+		remount := func(dev *nvmm.Device) (vfs.FileSystem, error) {
+			if mode.pmfs {
+				fs, _, err := pmfs.MountRecoverOpts(dev, opts.PMFS)
+				return fs, err
+			}
+			fs, _, err := MountRecover(dev, opts)
+			return fs, err
+		}
+		open := func(fs vfs.FileSystem) vfs.File {
+			f, err := fs.Open("/f", vfs.OCreate|vfs.ORdwr|mode.flags)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		write := func(f vfs.File, p []byte, off int64) {
+			t.Helper()
+			if _, err := f.WriteAt(p, off); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Fsync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// run writes the durable base, then appends; it returns the
+		// persist events the append spans and, with target > 0, the
+		// crash state captured at target.
+		run := func(target int64) (lo, hi int64, st *nvmm.CrashState) {
+			dev, err := nvmm.New(nvmm.Config{Size: size, TrackPersistence: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev.Write(poison, 0)
+			dev.Flush(0, size)
+			fs, err := mkfs(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c, ok := fs.(*FS); ok {
+				defer c.Abandon()
+			}
+			f := open(fs)
+			write(f, base, 0)
+			lo = dev.PersistEvents()
+			if target > 0 {
+				dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
+			}
+			write(f, appended, oldEOF)
+			return lo, dev.PersistEvents(), dev.TakeCrashState()
+		}
+		for _, grow := range []struct {
+			name string
+			do   func(f vfs.File) error
+			// written is a byte range the grow stores itself.
+			written [2]int64
+			end     int64
+		}{
+			{"truncate", func(f vfs.File) error { return f.Truncate(3 * BlockSize) }, [2]int64{}, 3 * BlockSize},
+			{"write", func(f vfs.File) error {
+				_, err := f.WriteAt(base[:10], 3000)
+				return err
+			}, [2]int64{3000, 3010}, 3010},
+		} {
+			t.Run(mode.name+"/"+grow.name, func(t *testing.T) {
+				lo, hi, _ := run(0)
+				rolledBack := 0 // recovered images with the append undone
+				for ev := lo + 1; ev <= hi; ev++ {
+					_, _, st := run(ev)
+					if st == nil {
+						t.Fatalf("event %d: no crash state captured", ev)
+					}
+					for _, seed := range []uint64{0, 1, 2} {
+						dev, err := st.Materialize(nvmm.Config{}, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fs, err := remount(dev)
+						if err != nil {
+							t.Fatalf("event %d seed %d: recover: %v", ev, seed, err)
+						}
+						f := open(fs)
+						eof := f.Size()
+						if eof != oldEOF && eof != newEOF {
+							t.Fatalf("event %d seed %d: recovered size %d", ev, seed, eof)
+						}
+						if eof == oldEOF {
+							rolledBack++
+						}
+						if _, err := f.WriteAt(base[:4], eof-4); err != nil {
+							t.Fatal(err)
+						}
+						if err := grow.do(f); err != nil {
+							t.Fatal(err)
+						}
+						got := make([]byte, grow.end)
+						if n, err := f.ReadAt(got, 0); n != len(got) || (err != nil && err != io.EOF) {
+							t.Fatalf("event %d seed %d: read %d: %v", ev, seed, n, err)
+						}
+						f.Close()
+						fs.Unmount()
+						want := make([]byte, grow.end)
+						copy(want, base)
+						copy(want[oldEOF:eof], appended)
+						copy(want[eof-4:], base[:4])
+						copy(want[grow.written[0]:grow.written[1]], base)
+						if i := firstDiff(got, want); i >= 0 {
+							t.Fatalf("event %d seed %d: recovered size %d, byte %d reads %#x after growing, want %#x",
+								ev, seed, eof, i, got[i], want[i])
+						}
+					}
+				}
+				// The window must hold crashes after the append's data store
+				// and before its commit, or the test checks nothing new.
+				if rolledBack == 0 {
+					t.Fatalf("no crash in events (%d, %d] rolled the append back", lo, hi)
+				}
+			})
+		}
+	}
+}
+
+// firstDiff returns the first index at which a and b differ, or -1.
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	if len(b) > len(a) {
+		return len(a)
+	}
+	return -1
 }

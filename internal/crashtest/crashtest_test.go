@@ -52,6 +52,33 @@ func TestExploreAppendStock(t *testing.T) {
 	}
 }
 
+// TestExploreJournalRotation runs the Varmail mix over a journal small
+// enough that lane halves rotate inside the crash window. A rotated half
+// is reused without re-zeroing, so every crash after a rotation recovers
+// from a log area full of retired entries; none may be replayed.
+func TestExploreJournalRotation(t *testing.T) {
+	rep, err := Explore(Config{Workload: "varmail", Ops: 120, Points: 40, Perms: 3, Seed: 5, journalBlocks: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log(rep.Summary())
+	if rep.Rotations < 3 {
+		t.Fatalf("%d half rotations inside the crash window, want at least 3 (%s)", rep.Rotations, rep.Summary())
+	}
+	if rep.Recovered != rep.Cases {
+		t.Fatalf("only %d of %d cases remounted", rep.Recovered, rep.Cases)
+	}
+	if len(rep.Violations) != 0 || rep.Suppressed != 0 {
+		for i, v := range rep.Violations {
+			if i == 10 {
+				break
+			}
+			t.Errorf("violation: %s", v)
+		}
+		t.Fatalf("%d violations with a rotating journal (%s)", len(rep.Violations)+rep.Suppressed, rep.Summary())
+	}
+}
+
 // TestSeededOrderingBugDetected is the explorer's self-test: mounting
 // with the deliberately broken §4.1 coupling (commit records written
 // before the buffered data persists) must produce at least one reported

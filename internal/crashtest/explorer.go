@@ -60,6 +60,10 @@ type Config struct {
 	// Log, when non-nil, receives a line per verified crash case and
 	// per violation.
 	Log io.Writer
+
+	// journalBlocks sizes the journal (default 512); tests shrink it so
+	// lane halves rotate inside the crash window.
+	journalBlocks int64
 }
 
 func (cfg *Config) fill() {
@@ -84,6 +88,9 @@ func (cfg *Config) fill() {
 	if cfg.BufferBlocks == 0 {
 		cfg.BufferBlocks = 512
 	}
+	if cfg.journalBlocks == 0 {
+		cfg.journalBlocks = 512
+	}
 }
 
 // fsOpts builds the deterministic mount used for every run: one shard,
@@ -98,7 +105,7 @@ func (cfg *Config) fsOpts() core.Options {
 		BufferBlocks:            cfg.BufferBlocks,
 		Clock:                   clock.NewFake(time.Unix(0, 0)),
 		Buffer:                  buffer.Config{Shards: 1, WritebackThreads: -1},
-		PMFS:                    pmfs.Options{JournalBlocks: 512, MaxInodes: 2048, FlightBlocks: flightBlocks},
+		PMFS:                    pmfs.Options{JournalBlocks: cfg.journalBlocks, MaxInodes: 2048, FlightBlocks: flightBlocks},
 		UnsafeSkipOrderedCommit: cfg.UnsafeSkipOrderedCommit,
 	}
 }
@@ -164,6 +171,7 @@ type Report struct {
 	Cases       int   // points × permutations
 	Recovered   int   // cases that remounted successfully
 	RolledBack  int   // journal transactions rolled back across all cases
+	Rotations   int64 // journal lane-half rotations inside the crash window
 	FsckErrors  int   // metadata-checker failures
 	Violations  []Violation
 	// Suppressed counts violations beyond the reporting cap (a seeded
@@ -187,8 +195,8 @@ func (r *Report) add(v Violation, log io.Writer) {
 
 // Summary renders a one-paragraph result.
 func (r *Report) Summary() string {
-	s := fmt.Sprintf("workload %s: %d events (%d setup), %d crash points × %d perms = %d cases, %d recovered, %d txs rolled back",
-		r.Workload, r.TotalEvents, r.SetupEvents, r.Points, r.Cases/max(r.Points, 1), r.Cases, r.Recovered, r.RolledBack)
+	s := fmt.Sprintf("workload %s: %d events (%d setup), %d crash points × %d perms = %d cases, %d recovered, %d txs rolled back, %d journal rotations",
+		r.Workload, r.TotalEvents, r.SetupEvents, r.Points, r.Cases/max(r.Points, 1), r.Cases, r.Recovered, r.RolledBack, r.Rotations)
 	if n := len(r.Violations) + r.Suppressed; n > 0 {
 		s += fmt.Sprintf(", %d VIOLATIONS", n)
 	} else {
@@ -206,10 +214,11 @@ func max(a, b int) int {
 
 // runResult is one full workload execution.
 type runResult struct {
-	recs    []opRecord
-	setupEv int64
-	totalEv int64
-	state   *nvmm.CrashState
+	recs      []opRecord
+	setupEv   int64
+	totalEv   int64
+	rotations int64 // journal half rotations after setup
+	state     *nvmm.CrashState
 }
 
 // poisonByte fills every fresh crash-run device before Mkfs.
@@ -259,6 +268,21 @@ func (cfg *Config) runOnce(target int64, keep bool) (*runResult, error) {
 		return nil, err
 	}
 	defer fs.Abandon()
+	// The journal nudges its pressure callback from a new goroutine when a
+	// lane half passes 3/4 full. A flush there would race the workload and
+	// make the persist-event schedule depend on scheduling, so the buffer
+	// is flushed only for a stall, while the stalled op waits for it.
+	jnl := fs.Journal()
+	var pmu sync.Mutex
+	var stalls int64
+	jnl.SetPressure(func() {
+		pmu.Lock()
+		defer pmu.Unlock()
+		if s := jnl.Stats().Stalls; s != stalls {
+			stalls = s
+			_, _ = fs.Pool().FlushAll()
+		}
+	})
 	rec := &recorder{fs: fs, dev: dev, keep: keep, flt: fs.Flight()}
 	w, err := cfg.newWorkload()
 	if err != nil {
@@ -271,6 +295,7 @@ func (cfg *Config) runOnce(target int64, keep bool) (*runResult, error) {
 		return nil, fmt.Errorf("crashtest: %s setup: %w", w.Name(), err)
 	}
 	setupEv := dev.PersistEvents()
+	setupRot := jnl.Stats().Checkpoints
 	if target > 0 {
 		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
 	}
@@ -278,10 +303,11 @@ func (cfg *Config) runOnce(target int64, keep bool) (*runResult, error) {
 		return nil, fmt.Errorf("crashtest: %s run: %w", w.Name(), err)
 	}
 	return &runResult{
-		recs:    rec.recs,
-		setupEv: setupEv,
-		totalEv: dev.PersistEvents(),
-		state:   dev.TakeCrashState(),
+		recs:      rec.recs,
+		setupEv:   setupEv,
+		totalEv:   dev.PersistEvents(),
+		rotations: jnl.Stats().Checkpoints - setupRot,
+		state:     dev.TakeCrashState(),
 	}, nil
 }
 
@@ -363,6 +389,7 @@ func Explore(cfg Config) (*Report, error) {
 		Ops:         cfg.Ops,
 		SetupEvents: base.setupEv,
 		TotalEvents: base.totalEv,
+		Rotations:   base.rotations,
 	}
 	for _, pt := range points {
 		run, err := cfg.runOnce(pt, false)

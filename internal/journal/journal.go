@@ -38,7 +38,8 @@
 //
 // Because deferred transactions stay open for seconds, each lane is managed
 // as two ping-pong halves: entries fill one half while the other drains; a
-// half is zeroed and reused once no open transaction has entries in it.
+// half is reused once no open transaction has entries in it, without
+// zeroing: retirement has durably cleared every valid byte there.
 // Every transaction reserves its commit slot at Begin, so writing a commit
 // record never blocks — only new undo logging can stall on a full lane, and
 // the registered pressure callback (HiNFS wires it to the write buffer's
@@ -291,7 +292,6 @@ func (j *Journal) allocSlotLocked(ln *lane, t *Tx) int64 {
 		// transactions.
 		other := &ln.halves[1-ln.cur]
 		if other.live == 0 {
-			j.zeroHalfLocked(other)
 			other.next = 0
 			ln.cur = 1 - ln.cur
 			j.checkpoints.Add(1)
@@ -305,18 +305,8 @@ func (j *Journal) allocSlotLocked(ln *lane, t *Tx) int64 {
 	}
 }
 
-// zeroBlock is the shared all-zero source for log-area resets; it is
-// only ever read, so sharing it across lanes and with Recover is safe.
+// zeroBlock is the all-zero source Recover resets the log area from.
 var zeroBlock [cacheline.BlockSize]byte
-
-func (j *Journal) zeroHalfLocked(h *half) {
-	hs := int64(h.count) * EntrySize
-	for off := int64(0); off < hs; off += cacheline.BlockSize {
-		j.dev.Write(zeroBlock[:], h.base+off)
-	}
-	j.dev.Flush(h.base, int(hs))
-	j.dev.Fence()
-}
 
 // writeEntry persists one entry, stamping its global sequence number. The
 // entry is one cacheline and stores within a cacheline are never reordered

@@ -149,11 +149,66 @@ func TestFreshBlocksReadZeroAfterReuse(t *testing.T) {
 	checkFiles(t, fs2, want)
 }
 
+// TestHoleFillAndMmapReadZeroAfterReuse covers the other two ways a size
+// can come to cover bytes no write stored, over reused 0xFF blocks, live
+// and after a crash: a write into a hole below EOF, whose fresh block's
+// tail the old size already covers, and MmapBlock on the existing EOF
+// block, which moves EOF to the block's end without storing anything.
+func TestHoleFillAndMmapReadZeroAfterReuse(t *testing.T) {
+	dev, err := nvmm.New(nvmm.Config{Size: 8 << 20, TrackPersistence: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Mkfs(dev, Options{JournalBlocks: 256, MaxInodes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisonFreeBlocks(t, fs)
+	d := bytes.Repeat([]byte{0x5A}, 100)
+	want := map[string][]byte{"/hole": make([]byte, 3*BlockSize), "/mmap": make([]byte, BlockSize)}
+	copy(want["/hole"][BlockSize+1000:], d)
+	copy(want["/mmap"], d)
+
+	f, err := fs.OpenFile("/hole", vfs.OCreate|vfs.ORdwr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Truncate(3 * BlockSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(d, BlockSize+1000); err != nil {
+		t.Fatal(err)
+	}
+	g, err := fs.OpenFile("/mmap", vfs.OCreate|vfs.ORdwr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, err := g.WriteAt(d, 0); err != nil {
+		t.Fatal(err)
+	}
+	m, err := g.MmapBlock(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m, want["/mmap"]) {
+		t.Fatal("MmapBlock on the EOF block: bytes past the old EOF are not zero")
+	}
+	checkFiles(t, fs, want)
+	dev.Crash()
+	fs2, _, err := MountRecover(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFiles(t, fs2, want)
+}
+
 // TestAppendFlushCounts pins the cachelines a direct append flushes on a
-// fresh block: the data lines it covers, a flushed zero tail for the
-// lines it does not, and the transaction's metadata — never a whole-block
-// zero fill ahead of the data. A block-aligned 4 KiB append and a 1 KiB
-// append flush the same 64 data-block lines.
+// fresh block: the data lines it covers and the transaction's metadata —
+// never a zero fill ahead of the data, and no zeroes for the block's tail,
+// which lies past EOF. A block-aligned 4 KiB append flushes 64 data-block
+// lines, a 1 KiB append 16.
 func TestAppendFlushCounts(t *testing.T) {
 	// Metadata lines of an append that allocates one data block under an
 	// existing leaf. The transaction touches three words: the bitmap word,
@@ -167,7 +222,7 @@ func TestAppendFlushCounts(t *testing.T) {
 		dataLines int64
 	}{
 		{"4KiB-aligned", BlockSize, 64},
-		{"1KiB", 1024, 16 + 48},
+		{"1KiB", 1024, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs, dev := testFS(t)

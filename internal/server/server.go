@@ -389,6 +389,7 @@ type request struct {
 	trace  uint64
 	lclass opClass
 	start  time.Time
+	lat    int64 // ns from start until the reply was handed to the writer
 	ran    bool
 
 	// Decoded arguments (per-op subset).
@@ -604,7 +605,7 @@ func (sess *session) writeLoop() {
 func (sess *session) complete(req *request) {
 	if req.ran {
 		t := sess.ten
-		lat := time.Since(req.start).Nanoseconds()
+		lat := req.lat
 		t.record(req.lclass, lat, &req.opctx)
 		if sess.srv.slow.Exceeds(lat) {
 			sess.srv.slow.Record(obs.SlowOp{
@@ -684,8 +685,11 @@ func flightOp(op byte) uint8 {
 
 // finish implements task: the scheduler hands the request to the writer
 // once its dispatch batch (and persist scope) is done. ran=false means
-// the scheduler shut down before exec; answer ErrUnmounted.
+// the scheduler shut down before exec; answer ErrUnmounted. The latency
+// is stamped here, so it excludes the writer's wakeup, frame encoding and
+// socket flush, which the client sees as wire time.
 func (req *request) finish(ran bool) {
+	req.lat = time.Since(req.start).Nanoseconds()
 	if !ran {
 		out := &req.out
 		out.b = out.b[:0]
